@@ -2,8 +2,8 @@
 //! the simulated cluster.
 //!
 //! ```text
-//! deepcat-tune train  --workload TS --input D1 --iters 2000 --model m.json
-//! deepcat-tune tune   --workload TS --input D1 --model m.json --steps 5
+//! deepcat-tune train  --workload TS --input D1 --iters 2000 --model m.bin
+//! deepcat-tune tune   --workload TS --input D1 --model m.bin --steps 5
 //! deepcat-tune run    --workload TS --input D1            # default config
 //! deepcat-tune compare --workload TS --input D1           # 3 tuners
 //! deepcat-tune tune   ... --log run.jsonl                 # JSONL event log
@@ -1520,7 +1520,7 @@ fn main() -> ExitCode {
                 .unwrap_or(0.0);
             let path = args
                 .model
-                .unwrap_or_else(|| PathBuf::from("deepcat-model.json"));
+                .unwrap_or_else(|| PathBuf::from("deepcat-model.bin"));
             if let Err(e) = save_td3(&agent, &path) {
                 eprintln!("error: cannot save model: {e}");
                 return ExitCode::FAILURE;

@@ -4,7 +4,7 @@
 //! Layout of a session's log directory:
 //!
 //! ```text
-//! <dir>/snapshot-000000000004.json   compacted OnlineCheckpoint at step 4
+//! <dir>/snapshot-000000000004.snap   compacted OnlineCheckpoint at step 4
 //! <dir>/segment-000000000004.log     step records with seq >= 4
 //! ```
 //!
@@ -16,7 +16,10 @@
 //!
 //! where `crc` is CRC-32 (IEEE) over `seq || payload` and `seq` is the
 //! step index, strictly monotonic across segments. The payload is the
-//! JSON-encoded [`StepDelta`] for that step.
+//! [`crate::codec`]-encoded [`StepDelta`] for that step. A snapshot file
+//! is exactly one such frame, with `seq` equal to the snapshot step and
+//! the codec-encoded [`OnlineCheckpoint`] as payload, so a flipped bit
+//! anywhere in it is detected rather than read back as a changed weight.
 //!
 //! Write discipline: every record append is followed by an `fsync` of
 //! the segment before the session continues; snapshots are written to a
@@ -31,6 +34,7 @@
 //! record instead of failing — everything before that point is provably
 //! intact (length + CRC + contiguous sequence numbers).
 
+use crate::codec;
 use crate::persist::OnlineCheckpoint;
 use crate::storage::{SharedStorage, Storage, StorageError};
 use serde::{Deserialize, Serialize};
@@ -52,8 +56,11 @@ pub const MAX_RECORD_BYTES: u32 = 1 << 26;
 // CRC-32 (IEEE 802.3), table-driven; no external crates.
 // ---------------------------------------------------------------------------
 
-const fn make_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `table[0]` is the classic byte-at-a-time table,
+/// and `table[k][b]` is the CRC state contribution of byte `b` followed
+/// by `k` zero bytes, so eight input bytes fold in per step.
+const fn make_crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -67,19 +74,54 @@ const fn make_crc32_table() -> [u32; 256] {
             k += 1;
         }
         // PANIC-SAFETY: i < 256 by the loop condition.
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            // PANIC-SAFETY: 1 <= t < 8, i < 256, inner index masked.
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC32_TABLE: [u32; 256] = make_crc32_table();
+const CRC32_TABLES: [[u32; 256]; 8] = make_crc32_tables();
+
+/// Look up the low byte of `index` in CRC table `t` (a constant < 8).
+#[inline(always)]
+fn lookup(t: usize, index: u32) -> u32 {
+    // PANIC-SAFETY: every caller passes a constant t < 8, and the index
+    // is masked to 8 bits, always < 256.
+    CRC32_TABLES[t][(index & 0xFF) as usize]
+}
 
 fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let mut c = state;
-    for &b in bytes {
-        // PANIC-SAFETY: the index is masked to 8 bits, always < 256.
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = chunk
+            .iter()
+            .rev()
+            .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+        let lo = c ^ word as u32;
+        let hi = (word >> 32) as u32;
+        c = lookup(7, lo)
+            ^ lookup(6, lo >> 8)
+            ^ lookup(5, lo >> 16)
+            ^ lookup(4, lo >> 24)
+            ^ lookup(3, hi)
+            ^ lookup(2, hi >> 8)
+            ^ lookup(1, hi >> 16)
+            ^ lookup(0, hi >> 24);
+    }
+    for &b in chunks.remainder() {
+        c = lookup(0, c ^ u32::from(b)) ^ (c >> 8);
     }
     c
 }
@@ -102,6 +144,45 @@ pub fn frame_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Encode `value` with [`crate::codec`] and frame it as record `seq`,
+/// refusing payloads longer than `max_payload` bytes (a longer record
+/// would be written fine but rejected as torn by recovery).
+pub(crate) fn encode_framed<T: Serialize + ?Sized>(
+    seq: u64,
+    value: &T,
+    max_payload: u32,
+) -> io::Result<Vec<u8>> {
+    let payload = codec::encode(value).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("binary encoding failed: {e}"),
+        )
+    })?;
+    if payload.len() > max_payload as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "encoded payload of {} bytes exceeds the {max_payload}-byte frame limit",
+                payload.len()
+            ),
+        ));
+    }
+    Ok(frame_record(seq, &payload))
+}
+
+/// The payload of a file that holds exactly one frame with sequence
+/// number `seq` (a snapshot or a model file); `None` when the file is
+/// torn, longer than its frame, framed for another `seq`, or fails its
+/// CRC.
+pub(crate) fn unframe_file(bytes: &[u8], seq: u64) -> Option<&[u8]> {
+    let len = read_u32(bytes, 0)? as usize;
+    let crc = read_u32(bytes, 4)?;
+    let payload = bytes.get(RECORD_HEADER_BYTES..)?;
+    let intact =
+        payload.len() == len && read_u64(bytes, 8)? == seq && record_crc(seq, payload) == crc;
+    intact.then_some(payload)
 }
 
 fn read_u32(bytes: &[u8], off: usize) -> Option<u32> {
@@ -236,7 +317,7 @@ fn segment_name(start_seq: u64) -> String {
 }
 
 fn snapshot_name(step: u64) -> String {
-    format!("snapshot-{step:012}.json")
+    format!("snapshot-{step:012}.snap")
 }
 
 fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
@@ -253,7 +334,7 @@ fn parse_segment(name: &str) -> Option<u64> {
 }
 
 fn parse_snapshot(name: &str) -> Option<u64> {
-    parse_numbered(name, "snapshot-", ".json")
+    parse_numbered(name, "snapshot-", ".snap")
 }
 
 fn is_log_file(name: &str) -> bool {
@@ -302,19 +383,6 @@ pub struct Commitlog {
 
 fn invalid_data(msg: String) -> StorageError {
     StorageError::Io(io::Error::new(io::ErrorKind::InvalidData, msg))
-}
-
-fn encode_json<T: Serialize>(value: &T) -> Result<Vec<u8>, StorageError> {
-    serde_json::to_string(value)
-        .map(String::into_bytes)
-        .map_err(|e| invalid_data(format!("commitlog serialization failed: {e}")))
-}
-
-/// Decode a JSON payload; any UTF-8 or parse failure yields `None`
-/// (recovery treats it as corrupt and truncates).
-fn decode_json<T: Deserialize>(bytes: &[u8]) -> Option<T> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    serde_json::from_str(text).ok()
 }
 
 impl Commitlog {
@@ -446,8 +514,7 @@ impl Commitlog {
         if self.segment_records >= self.policy.segment_max_records {
             self.roll_segment();
         }
-        let payload = encode_json(delta)?;
-        let frame = frame_record(delta.seq, &payload);
+        let frame = encode_framed(delta.seq, delta, MAX_RECORD_BYTES)?;
         let path = self.segment_path();
         let res = (|| {
             let mut s = self.storage.lock();
@@ -485,7 +552,7 @@ impl Commitlog {
                 step, self.next_seq
             )));
         }
-        let bytes = encode_json(cp)?;
+        let bytes = encode_framed(step, cp, u32::MAX)?;
         let final_path = self.dir.join(snapshot_name(step));
         let tmp_path = self.dir.join(format!("{}.tmp", snapshot_name(step)));
         let res = (|| {
@@ -570,7 +637,8 @@ fn scan_dir(s: &mut dyn Storage, dir: &Path) -> Result<ScanResult, StorageError>
     let mut best: Option<(u64, OnlineCheckpoint)> = None;
     for (idx, name) in snapshots.iter().rev() {
         let bytes = s.read(&dir.join(name))?;
-        match decode_json::<OnlineCheckpoint>(&bytes) {
+        let checkpoint = unframe_file(&bytes, *idx).and_then(codec::decode::<OnlineCheckpoint>);
+        match checkpoint {
             Some(cp) if cp.next_step as u64 == *idx => {
                 best = Some((*idx, cp));
                 break;
@@ -642,7 +710,7 @@ fn scan_dir(s: &mut dyn Storage, dir: &Path) -> Result<ScanResult, StorageError>
                         torn = true;
                         break;
                     }
-                    match decode_json::<StepDelta>(frame.payload) {
+                    match codec::decode::<StepDelta>(frame.payload) {
                         Some(delta) if delta.seq == frame.seq => {
                             off += frame.size;
                             expected += 1;
@@ -721,6 +789,55 @@ mod tests {
     }
 
     #[test]
+    fn sliced_crc_matches_bitwise_reference() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        }
+        let data: Vec<u8> = (0..1031u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        // Every length 0..=40 (all tail remainders), then long unaligned runs.
+        for len in (0..=40).chain([255, 1024, 1031]) {
+            for start in [0, 1, 3] {
+                let slice = &data[start..(start + len).min(data.len())];
+                assert_eq!(
+                    !crc32_update(0xFFFF_FFFF, slice),
+                    bitwise(slice),
+                    "len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn whole_file_frames_check_seq_length_and_crc() {
+        let file = frame_record(4, b"snapshot-body");
+        assert_eq!(unframe_file(&file, 4), Some(&b"snapshot-body"[..]));
+        assert_eq!(unframe_file(&file, 5), None, "framed for another step");
+        assert_eq!(unframe_file(&file[..file.len() - 1], 4), None, "torn");
+        let mut longer = file.clone();
+        longer.push(0);
+        assert_eq!(unframe_file(&longer, 4), None, "trailing bytes");
+        for at in 0..file.len() {
+            let mut flipped = file.clone();
+            flipped[at] ^= 0x20;
+            assert_eq!(unframe_file(&flipped, 4), None, "flip at {at}");
+        }
+        assert_eq!(unframe_file(b"{\"cfg\":1}", 0), None, "legacy JSON");
+    }
+
+    #[test]
     fn frame_round_trip() {
         let payload = br#"{"x":1}"#;
         let frame = frame_record(7, payload);
@@ -760,7 +877,8 @@ mod tests {
         assert_eq!(parse_snapshot(&snapshot_name(7)), Some(7));
         assert_eq!(parse_segment("segment-12.log"), None);
         assert_eq!(parse_snapshot(&segment_name(1)), None);
-        assert!(is_log_file("snapshot-000000000001.json.tmp"));
+        assert!(is_log_file("snapshot-000000000001.snap.tmp"));
+        assert_eq!(parse_snapshot("snapshot-000000000001.json"), None);
     }
 
     #[test]

@@ -45,6 +45,7 @@
 
 pub mod analysis;
 pub mod budget;
+pub mod codec;
 pub mod commitlog;
 pub mod config;
 pub mod ddpg;
@@ -81,9 +82,7 @@ pub use online::{
     TuningReport,
 };
 pub use parallel::{train_td3_parallel, ParallelConfig, ParallelStats};
-pub use persist::{
-    load_online_checkpoint, load_td3, save_online_checkpoint, save_td3, OnlineCheckpoint,
-};
+pub use persist::{load_td3, save_td3, OnlineCheckpoint};
 pub use resilience::{
     online_tune_resilient, ChaosSessionConfig, EngineInit, EngineStep, ResiliencePolicy,
     ResilienceSnapshot, ResilientEnv, ResilientOutcome, SessionEngine, SessionOutcome,

@@ -1,15 +1,16 @@
-//! Property tests of the durable commitlog: for *arbitrary* tail
-//! corruption (truncation at any byte offset, any single bit flipped),
-//! recovery must never panic, never surface a corrupt record, and always
-//! yield a contiguous valid prefix of what was appended — and a session
+//! Property tests of the durable commitlog: for *arbitrary* corruption
+//! (truncation at any byte offset, any single bit flipped, in any
+//! segment or snapshot file), recovery must never panic, never surface a
+//! corrupt record or an altered snapshot, and always yield a contiguous
+//! valid prefix of what was appended — and a session
 //! resumed from snapshot + tail replay must reproduce an uninterrupted
 //! session exactly, whatever storage fault killed it.
 
 use deepcat::{
-    online_tune_resilient, shared_storage, train_td3, AgentConfig, ChaosSessionConfig, Commitlog,
-    CommitlogPolicy, FaultyStorage, MemStorage, OfflineConfig, OnlineCheckpoint, OnlineConfig,
-    ResiliencePolicy, ResilienceSnapshot, ResilientEnv, SessionOutcome, SharedStorage, StepDelta,
-    StepRecord, StoragePlan, Td3Agent, TuningEnv, TuningReport,
+    codec, online_tune_resilient, shared_storage, train_td3, AgentConfig, ChaosSessionConfig,
+    Commitlog, CommitlogPolicy, FaultyStorage, MemStorage, OfflineConfig, OnlineCheckpoint,
+    OnlineConfig, ResiliencePolicy, ResilienceSnapshot, ResilientEnv, SessionOutcome,
+    SharedStorage, StepDelta, StepRecord, StoragePlan, Td3Agent, TuningEnv, TuningReport,
 };
 use proptest::prelude::*;
 use rl::Transition;
@@ -21,8 +22,8 @@ use std::sync::OnceLock;
 // Log-level corruption: arbitrary truncation / bit flips on the tail
 // ---------------------------------------------------------------------------
 
-/// A tiny but real agent checkpoint — recovery JSON-decodes snapshots,
-/// so the payload must be a faithful [`OnlineCheckpoint`].
+/// A tiny but real agent checkpoint — recovery decodes snapshots, so
+/// the payload must be a faithful [`OnlineCheckpoint`].
 fn tiny_checkpoint(next_step: usize) -> OnlineCheckpoint {
     let mut cfg = AgentConfig::for_dims(2, 3);
     cfg.hidden = vec![4, 4];
@@ -89,30 +90,33 @@ fn delta_at(seq: u64) -> StepDelta {
 
 /// Write a healthy log: initial snapshot, `records` appended deltas, and
 /// (with `snapshot_every > 0`) periodic compacted snapshots in between.
+/// Returns the appended deltas and every snapshot written.
 fn build_log(
     storage: &SharedStorage,
     dir: &Path,
     records: u64,
     snapshot_every: u64,
     segment_max_records: u64,
-) -> Vec<StepDelta> {
+) -> (Vec<StepDelta>, Vec<OnlineCheckpoint>) {
     let policy = CommitlogPolicy {
         snapshot_every: snapshot_every as usize,
         segment_max_records,
     };
     let mut log = Commitlog::create(dir, storage.clone(), policy).expect("create log");
-    log.snapshot(&tiny_checkpoint(0)).expect("initial snapshot");
+    let mut snapshots = vec![tiny_checkpoint(0)];
+    log.snapshot(&snapshots[0]).expect("initial snapshot");
     let mut deltas = Vec::new();
     for seq in 0..records {
         let delta = delta_at(seq);
         log.append(&delta).expect("append");
         deltas.push(delta);
         if snapshot_every > 0 && (seq + 1) % snapshot_every == 0 && seq + 1 < records {
-            log.snapshot(&tiny_checkpoint((seq + 1) as usize))
-                .expect("periodic snapshot");
+            let cp = tiny_checkpoint((seq + 1) as usize);
+            log.snapshot(&cp).expect("periodic snapshot");
+            snapshots.push(cp);
         }
     }
-    deltas
+    (deltas, snapshots)
 }
 
 /// List the log directory's files through the storage trait.
@@ -126,8 +130,10 @@ fn list_files(storage: &SharedStorage, dir: &Path) -> Vec<PathBuf> {
         .collect()
 }
 
-fn canon(delta: &StepDelta) -> String {
-    serde_json::to_string(delta).expect("serialize delta")
+/// Canonical bytes of a payload: its codec encoding, which stores every
+/// float by bit pattern.
+fn canon<T: serde::Serialize>(value: &T) -> Vec<u8> {
+    codec::encode(value).expect("encode")
 }
 
 proptest! {
@@ -135,9 +141,12 @@ proptest! {
 
     /// Whatever single corruption hits whatever file — truncation at an
     /// arbitrary offset or one flipped bit — `Commitlog::open` must not
-    /// panic or error, the recovered tail must be a contiguous, bitwise
-    /// prefix of what was appended, and a second open of the repaired
-    /// log must be clean (recovery is idempotent).
+    /// panic or error, the recovered snapshot must be byte for byte one
+    /// that was written (a flipped bit in a snapshot file ends in an
+    /// older snapshot or a fresh start, never in altered weights), the
+    /// recovered tail must be a contiguous, bitwise prefix of what was
+    /// appended, and a second open of the repaired log must be clean
+    /// (recovery is idempotent).
     #[test]
     fn arbitrary_tail_corruption_recovers_a_valid_prefix(
         records in 1u64..10,
@@ -150,7 +159,7 @@ proptest! {
     ) {
         let storage = shared_storage(MemStorage::new());
         let dir = PathBuf::from("/prop/commitlog");
-        let deltas = build_log(&storage, &dir, records, snapshot_every, segment_max);
+        let (deltas, snapshots) = build_log(&storage, &dir, records, snapshot_every, segment_max);
 
         // Corrupt one file: either truncate it at an arbitrary offset or
         // flip a single bit at an arbitrary byte.
@@ -180,6 +189,14 @@ proptest! {
         match &recovered {
             Some(rec) => {
                 prop_assert_eq!(rec.checkpoint.next_step as u64, rec.snapshot_step);
+                // The snapshot is bitwise one we wrote — a corrupt one is
+                // skipped, never read back with altered contents.
+                let got = canon(&rec.checkpoint);
+                prop_assert!(
+                    snapshots.iter().any(|cp| canon(cp) == got),
+                    "recovered snapshot at step {} is not one that was written",
+                    rec.snapshot_step
+                );
                 // Contiguous sequence numbers from the snapshot on.
                 for (k, delta) in rec.tail.iter().enumerate() {
                     prop_assert_eq!(delta.seq, rec.snapshot_step + k as u64);

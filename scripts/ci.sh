@@ -8,6 +8,12 @@ cargo build --release
 cargo test -q
 cargo fmt --check
 
+# The end-to-end benchmark (perfbench/, a package of its own) builds
+# against the library crates by path: build and unit-test it here, so a
+# library API change that breaks it fails this gate, not the benchmark
+# run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Static analysis: token families plus the AST/call-graph families
 # (concurrency.lock_order, concurrency.guard_across_emit,
 # panic.reachable, determinism.entropy_flow, telemetry.session_scope) —
@@ -53,13 +59,13 @@ echo "trace determinism: OK (byte-identical chrome-trace export)"
 # an uninterrupted run (the `chaos.best` event line carries the full
 # action vector).
 ./target/release/deepcat-tune train --iters 500 --seed 2022 \
-    --model "$smoke_dir/chaos-model.json" >/dev/null
+    --model "$smoke_dir/chaos-model.bin" >/dev/null
 ./target/release/deepcat-tune chaos --plan mixed --deterministic \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --alerts alerts.toml --metrics-out "$smoke_dir/chaos-a.prom" \
     --log "$smoke_dir/chaos-a.jsonl" >/dev/null
 ./target/release/deepcat-tune chaos --plan mixed --deterministic \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --alerts alerts.toml --metrics-out "$smoke_dir/chaos-b.prom" \
     --log "$smoke_dir/chaos-b.jsonl" >/dev/null
 cmp "$smoke_dir/chaos-a.jsonl" "$smoke_dir/chaos-b.jsonl" || {
@@ -90,10 +96,10 @@ cmp "$smoke_dir/top-a.txt" "$smoke_dir/top-b.txt" || {
 }
 echo "top determinism: OK (byte-identical --once dashboards)"
 ./target/release/deepcat-tune chaos --plan mixed --deterministic \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --checkpoint "$smoke_dir/chaos-cp.json" --kill-after 2 >/dev/null
 ./target/release/deepcat-tune chaos --plan mixed --deterministic \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --checkpoint "$smoke_dir/chaos-cp.json" --resume \
     --log "$smoke_dir/chaos-resume.jsonl" >/dev/null
 grep '"chaos.best"' "$smoke_dir/chaos-a.jsonl" >"$smoke_dir/chaos-best-full.txt"
@@ -111,7 +117,7 @@ echo "chaos recovery: OK (kill@2 + resume reproduces the best configuration)"
 # be byte-identical to its uninterrupted reference run's.
 ./target/release/deepcat-tune fleet --sessions 8 --steps 4 --iters 500 \
     --kill-at 3 --deterministic --seed 2022 \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --out-dir "$smoke_dir/fleet" >/dev/null
 fleet_crashes=0
 for i in 0 1 2 3 4 5 6 7; do
@@ -136,16 +142,16 @@ echo "fleet recovery: OK ($fleet_crashes/8 crashed sessions resumed byte-identic
 #     matches its multiplexed stream byte for byte.
 ./target/release/deepcat-tune serve --sessions 8 --steps 4 --iters 500 \
     --faults panic3 --deterministic --seed 2022 \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --log "$smoke_dir/serve-a.jsonl" \
     --out-dir "$smoke_dir/serve-a" >/dev/null
 ./target/release/deepcat-tune serve --sessions 8 --steps 4 --iters 500 \
     --faults panic3 --deterministic --seed 2022 \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --out-dir "$smoke_dir/serve-b" >/dev/null
 ./target/release/deepcat-tune serve --sessions 8 --steps 4 --iters 500 \
     --faults none --deterministic --seed 2022 \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --out-dir "$smoke_dir/serve-clean" >/dev/null
 for i in 0 1 2 3 4 5 6 7; do
     cmp "$smoke_dir/serve-a/session-$i-steps.jsonl" \
@@ -169,7 +175,7 @@ grep -q '"supervisor.restart"' "$smoke_dir/serve-a.jsonl" || {
 }
 ./target/release/deepcat-tune serve --sessions 8 --steps 4 --iters 500 \
     --deterministic --seed 2022 --extract 2 \
-    --model "$smoke_dir/chaos-model.json" \
+    --model "$smoke_dir/chaos-model.bin" \
     --out-dir "$smoke_dir/serve-extract" >/dev/null
 cmp "$smoke_dir/serve-extract/extract-2-steps.jsonl" \
     "$smoke_dir/serve-a/session-2-steps.jsonl" || {
@@ -183,10 +189,10 @@ echo "service smoke: OK (8 sessions under panic3: contained, recovered, extracta
 # `guardrail.infeasible_eval` event in the log) and stay byte-for-byte
 # reproducible across two same-seed runs.
 ./target/release/deepcat-tune chaos --plan blackout --deterministic \
-    --guardrails on --model "$smoke_dir/chaos-model.json" \
+    --guardrails on --model "$smoke_dir/chaos-model.bin" \
     --log "$smoke_dir/guard-a.jsonl" >/dev/null
 ./target/release/deepcat-tune chaos --plan blackout --deterministic \
-    --guardrails on --model "$smoke_dir/chaos-model.json" \
+    --guardrails on --model "$smoke_dir/chaos-model.bin" \
     --log "$smoke_dir/guard-b.jsonl" >/dev/null
 cmp "$smoke_dir/guard-a.jsonl" "$smoke_dir/guard-b.jsonl" || {
     echo "guardrail determinism failed: same-seed guarded runs diverged" >&2

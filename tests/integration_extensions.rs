@@ -29,8 +29,20 @@ fn offline_online_split_via_model_file() {
     let (agent, _, _) = train_td3(&mut offline, ac, &OfflineConfig::deepcat(700, 1), &[]);
     let dir = std::env::temp_dir().join("deepcat-integration");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.json");
+    let path = dir.join("model.bin");
     save_td3(&agent, &path).unwrap();
+
+    // A model saved as JSON text (the format before binary model files)
+    // is refused with a clear message, never misread as weights.
+    let legacy = dir.join("model.json");
+    std::fs::write(&legacy, serde_json::to_string(&agent.checkpoint()).unwrap()).unwrap();
+    let err = load_td3(&legacy, 99).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string()
+            .contains("not a binary DeepCAT model; retrain it"),
+        "{err}"
+    );
 
     let mut loaded = load_td3(&path, 99).unwrap();
     let mut live = TuningEnv::for_workload(Cluster::cluster_a().with_background_load(0.15), w, 502);
