@@ -332,6 +332,8 @@ fn report(
     let mut paid = 0usize;
     let mut failed = 0usize;
     let mut skipped = 0u64;
+    let (mut decisions, mut accepted) = (0u64, 0u64);
+    let (mut blocks, mut scored) = (0u64, 0u64);
     let mut retries = 0usize;
     let mut fallbacks = 0usize;
     let mut timeouts = 0usize;
@@ -373,10 +375,24 @@ fn report(
                 }
             }
             "twinq.decision" => {
+                decisions += 1;
+                if value.get("accepted").and_then(|v| v.as_bool()) == Some(true) {
+                    accepted += 1;
+                }
                 skipped += value
                     .get("iterations")
                     .and_then(|v| v.as_u64())
                     .unwrap_or(0);
+            }
+            // One batched critic scoring of a candidate block; logs from
+            // before block scoring have one span per candidate and no
+            // `candidates` field.
+            "twinq.rescore" => {
+                blocks += 1;
+                scored += value
+                    .get("candidates")
+                    .and_then(|v| v.as_u64())
+                    .unwrap_or(1);
             }
             "budget.update" => {
                 if let Some(s) = value.get("spent_s").and_then(|v| v.as_f64()) {
@@ -430,6 +446,18 @@ fn report(
          {skipped} skipped (Twin-Q critic filtering); \
          {sim_runs} simulator runs total"
     );
+    if decisions > 0 {
+        // Each decision scores its original action plus one candidate per
+        // perturbation round; the rest of what the blocks scored was drawn
+        // ahead past the accepting candidate and dropped.
+        let useful = skipped + decisions;
+        println!(
+            "twin-q: {decisions} decisions, {accepted} accepted; {scored} candidates \
+             scored in {blocks} blocks, {} discarded past the accepting \
+             one ({useful}/{scored} useful)",
+            scored.saturating_sub(useful)
+        );
+    }
     if retries + fallbacks + timeouts + injected > 0 {
         println!(
             "resilience: {injected} faults injected, {retries} retries, \

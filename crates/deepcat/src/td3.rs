@@ -140,17 +140,37 @@ impl Td3Agent {
     /// Twin critic estimates `(Q1, Q2)` for a state-action pair — the
     /// signal the Twin-Q Optimizer thresholds on.
     pub fn q_values(&self, state: &[f64], action: &[f64]) -> (f64, f64) {
-        let sa = Matrix::row_vector(state).hconcat(&Matrix::row_vector(action));
-        (
-            self.critic1.infer(&sa).get(0, 0),
-            self.critic2.infer(&sa).get(0, 0),
-        )
+        let (q1, q2) = self.q_batch(state, &Matrix::row_vector(action));
+        (q1.get(0, 0), q2.get(0, 0))
     }
 
     /// `min(Q1, Q2)` — the paper's sub-optimality indicator.
     pub fn min_q(&self, state: &[f64], action: &[f64]) -> f64 {
-        let (q1, q2) = self.q_values(state, action);
-        q1.min(q2)
+        self.min_q_batch(state, &Matrix::row_vector(action))[0]
+    }
+
+    /// `min(Q1, Q2)` for every row of `actions` (`n × action_dim`) in
+    /// `state`, with one forward per critic. Each entry equals
+    /// [`min_q`](Self::min_q) of its row bit for bit: the forward kernels
+    /// keep every row's arithmetic independent of the others.
+    pub fn min_q_batch(&self, state: &[f64], actions: &Matrix) -> Vec<f64> {
+        let (q1, q2) = self.q_batch(state, actions);
+        q1.as_slice()
+            .iter()
+            .zip(q2.as_slice())
+            .map(|(a, b)| a.min(*b))
+            .collect()
+    }
+
+    /// Both critics on the `[state | action]` rows of `actions`.
+    fn q_batch(&self, state: &[f64], actions: &Matrix) -> (Matrix, Matrix) {
+        let mut sa = Matrix::zeros(actions.rows(), state.len() + actions.cols());
+        for r in 0..actions.rows() {
+            let row = sa.row_mut(r);
+            row[..state.len()].copy_from_slice(state);
+            row[state.len()..].copy_from_slice(actions.row(r));
+        }
+        (self.critic1.infer(&sa), self.critic2.infer(&sa))
     }
 
     /// One TD3 gradient step on a replay batch. Returns diagnostics and the

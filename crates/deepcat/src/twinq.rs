@@ -7,10 +7,27 @@
 //! an estimated close-to-optimal action emerges. No configuration is
 //! actually executed during the search, so sub-optimal candidates are
 //! filtered at negligible cost.
+//!
+//! The search is scored speculatively. A perturbation never reads a Q
+//! value, so the chain of candidates can be drawn ahead: blocks of 1, 2,
+//! 4, 8, then 16 candidates (capped at `max_iters`), each candidate with
+//! its smoothing jitters, scored by one batched forward per critic. The
+//! block is then walked in order. At the first candidate that clears
+//! `Q_th` the loop RNG is rewound to the copy saved right after that
+//! candidate's draws, so the result and the RNG post-state equal those of
+//! the one-candidate-at-a-time loop, bit for bit.
 
 use crate::td3::Td3Agent;
+use rand::Rng;
 use rl::GaussianNoise;
 use serde::{Deserialize, Serialize};
+use tensor_nn::Matrix;
+
+/// Largest number of candidates drawn ahead per scoring block. Blocks
+/// start at one candidate and double up to this size: small first blocks
+/// waste little when an early candidate clears `Q_th`, large later ones
+/// cut the forwards of a search that runs to the cap.
+const MAX_BLOCK: usize = 16;
 
 /// Twin-Q Optimizer parameters.
 ///
@@ -79,55 +96,94 @@ impl TwinQOptimizer {
         }
     }
 
-    /// The smoothed sub-optimality indicator: mean of `min(Q1, Q2)` over
-    /// the action and a few jittered copies.
-    pub fn smoothed_min_q(
-        &self,
-        agent: &Td3Agent,
-        state: &[f64],
-        action: &[f64],
-        rng: &mut impl rand::Rng,
-    ) -> f64 {
-        let _span = telemetry::span!("twinq.rescore");
-        let n = self.smoothing_samples.max(1);
-        if n == 1 {
-            return agent.min_q(state, action);
-        }
-        let jitter = GaussianNoise::new(action.len(), self.sigma * 0.25);
-        let mut sum = agent.min_q(state, action);
-        for _ in 1..n {
-            let a = jitter.perturb(action, rng);
-            sum += agent.min_q(state, &a);
-        }
-        sum / n as f64
-    }
-
     /// Algorithm 1: optimize `action` for `state` under `agent`'s twin
     /// critics.
-    pub fn optimize(
+    pub fn optimize<R: Rng + Clone>(
         &self,
         agent: &Td3Agent,
         state: &[f64],
         action: Vec<f64>,
-        rng: &mut impl rand::Rng,
+        rng: &mut R,
     ) -> TwinQResult {
         let noise = GaussianNoise::new(action.len(), self.sigma);
         let loop_span = telemetry::span!("twinq.loop");
-        let initial_q = self.smoothed_min_q(agent, state, &action, rng);
+        let (result, discarded) =
+            self.search(agent, state, action, rng, |a, rng| noise.perturb(a, rng));
+        drop(loop_span);
+        telemetry::inc("twinq.calls", 1);
+        // Each perturbation round scored a candidate with the critics
+        // instead of paying for a real evaluation.
+        telemetry::inc("twinq.eval_skipped", result.iterations as u64);
+        telemetry::inc("twinq.candidates_discarded", discarded as u64);
+        if result.accepted {
+            telemetry::inc("twinq.accepted", 1);
+        }
+        telemetry::event!(
+            "twinq.decision",
+            iterations = result.iterations,
+            initial_q = result.initial_q,
+            final_q = result.final_q,
+            accepted = result.accepted,
+        );
+        result
+    }
+
+    /// The perturb-and-rescore loop of Algorithm 1 with `perturb` as the
+    /// step `current = perturb(current)`, scored in speculative blocks
+    /// (module docs). Returns the result and the number of candidates
+    /// scored past the accepting one.
+    pub(crate) fn search<R: Rng + Clone>(
+        &self,
+        agent: &Td3Agent,
+        state: &[f64],
+        action: Vec<f64>,
+        rng: &mut R,
+        mut perturb: impl FnMut(&[f64], &mut R) -> Vec<f64>,
+    ) -> (TwinQResult, usize) {
+        let (dim, samples) = (action.len(), self.smoothing_samples.max(1));
+        let jitter = GaussianNoise::new(dim, self.sigma * 0.25);
+        let initial_q = {
+            let _span = telemetry::span!("twinq.rescore", candidates = 1usize);
+            let mut rows = Vec::with_capacity(samples * dim);
+            draw_samples(&action, samples, &jitter, &mut rows, rng);
+            smoothed(&agent.min_q_batch(state, &Matrix::from_vec(samples, dim, rows)))
+        };
         let mut current = action;
         let mut current_q = initial_q;
         let (mut best, mut best_q) = (current.clone(), current_q);
         let mut iterations = 0;
+        let mut discarded = 0;
+        let mut block = 1;
         while current_q < self.q_threshold && iterations < self.max_iters {
-            current = noise.perturb(&current, rng);
-            current_q = self.smoothed_min_q(agent, state, &current, rng);
-            if current_q > best_q {
-                best_q = current_q;
-                best = current.clone();
+            let k = block.min(self.max_iters - iterations);
+            block = (2 * block).min(MAX_BLOCK);
+            let _span = telemetry::span!("twinq.rescore", candidates = k);
+            // Each candidate with a copy of the RNG as it stands after the
+            // candidate's own draws.
+            let mut chain: Vec<(Vec<f64>, R)> = Vec::with_capacity(k);
+            let mut rows = Vec::with_capacity(k * samples * dim);
+            for _ in 0..k {
+                let next = perturb(chain.last().map_or(&current, |(c, _)| c), rng);
+                draw_samples(&next, samples, &jitter, &mut rows, rng);
+                chain.push((next, rng.clone()));
             }
-            iterations += 1;
+            let q = agent.min_q_batch(state, &Matrix::from_vec(k * samples, dim, rows));
+            let scores = q.chunks(samples).map(smoothed);
+            for (i, ((candidate, rng_after), q)) in chain.into_iter().zip(scores).enumerate() {
+                iterations += 1;
+                if q > best_q {
+                    best_q = q;
+                    best = candidate.clone();
+                }
+                current = candidate;
+                current_q = q;
+                if q >= self.q_threshold {
+                    *rng = rng_after;
+                    discarded = k - 1 - i;
+                    break;
+                }
+            }
         }
-        drop(loop_span);
         let result = if current_q >= self.q_threshold {
             TwinQResult {
                 action: current,
@@ -146,21 +202,38 @@ impl TwinQOptimizer {
                 accepted: false,
             }
         };
-        telemetry::inc("twinq.calls", 1);
-        // Each perturbation round scored a candidate with the critics
-        // instead of paying for a real evaluation.
-        telemetry::inc("twinq.eval_skipped", result.iterations as u64);
-        if result.accepted {
-            telemetry::inc("twinq.accepted", 1);
-        }
-        telemetry::event!(
-            "twinq.decision",
-            iterations = result.iterations,
-            initial_q = result.initial_q,
-            final_q = result.final_q,
-            accepted = result.accepted,
-        );
-        result
+        (result, discarded)
+    }
+}
+
+/// The smoothed sub-optimality indicator of one candidate from its
+/// `min(Q1, Q2)` scores (laid out by [`draw_samples`]): their mean, summed
+/// in draw order.
+fn smoothed(q: &[f64]) -> f64 {
+    let sum = q
+        .iter()
+        .copied()
+        .reduce(|sum, x| sum + x)
+        .unwrap_or(f64::NAN);
+    if q.len() == 1 {
+        sum
+    } else {
+        sum / q.len() as f64
+    }
+}
+
+/// Append `action` and `samples − 1` jittered copies of it to `rows`,
+/// drawing the jitters from `rng` in order.
+fn draw_samples(
+    action: &[f64],
+    samples: usize,
+    jitter: &GaussianNoise,
+    rows: &mut Vec<f64>,
+    rng: &mut impl Rng,
+) {
+    rows.extend_from_slice(action);
+    for _ in 1..samples {
+        rows.extend(jitter.perturb(action, rng));
     }
 }
 
@@ -271,6 +344,38 @@ mod tests {
         };
         let res = opt.optimize(&agent, &[0.1, 0.2], vec![0.0, 1.0, 0.5], &mut rng);
         assert!(res.action.iter().all(|&v| (0.0..=1.0).contains(&v)));
+    }
+
+    #[test]
+    fn discarded_counts_candidates_scored_past_the_accepting_one() {
+        let agent = trained_agent();
+        let state = [0.1, 0.2];
+        let bad = vec![0.05, 0.95, 0.05];
+        let q_bad = agent.min_q(&state, &bad);
+        let q_good = agent.min_q(&state, &agent.select_action(&state));
+        let noise = GaussianNoise::new(3, 0.1);
+        // Blocks of 1, 2, 4, 8, 16, then the 9 left under the cap of 40.
+        let block_end = |i: usize| [1, 3, 7, 15, 31, 40].into_iter().find(|&e| e >= i);
+        let mut mid_block_accepts = 0;
+        for step in 0..40 {
+            let opt = TwinQOptimizer {
+                q_threshold: q_bad + (q_good - q_bad) * step as f64 / 40.0,
+                sigma: 0.1,
+                max_iters: 40,
+                smoothing_samples: 2,
+            };
+            let mut rng = StdRng::seed_from_u64(step);
+            let (res, discarded) = opt.search(&agent, &state, bad.clone(), &mut rng, |a, r| {
+                noise.perturb(a, r)
+            });
+            if res.accepted && res.iterations > 0 {
+                assert_eq!(Some(res.iterations + discarded), block_end(res.iterations));
+                mid_block_accepts += usize::from(discarded > 0);
+            } else {
+                assert_eq!(discarded, 0);
+            }
+        }
+        assert!(mid_block_accepts > 0, "no accept landed inside a block");
     }
 
     #[test]

@@ -20,11 +20,19 @@ pub enum Activation {
 impl Activation {
     /// Apply the activation to every entry of `z`.
     pub fn forward(self, z: &Matrix) -> Matrix {
+        let mut out = z.clone();
+        self.forward_inplace(&mut out);
+        out
+    }
+
+    /// Apply the activation to every entry of `z` in place (`Identity`
+    /// leaves it untouched).
+    pub fn forward_inplace(self, z: &mut Matrix) {
         match self {
-            Activation::Relu => z.map(|v| if v > 0.0 { v } else { 0.0 }),
-            Activation::Tanh => z.map(f64::tanh),
-            Activation::Sigmoid => z.map(sigmoid),
-            Activation::Identity => z.clone(),
+            Activation::Relu => z.map_inplace(|v| if v > 0.0 { v } else { 0.0 }),
+            Activation::Tanh => z.map_inplace(f64::tanh),
+            Activation::Sigmoid => z.map_inplace(sigmoid),
+            Activation::Identity => {}
         }
     }
 

@@ -72,9 +72,7 @@ impl Dense {
     /// Forward pass; returns the activated output and the cache needed for
     /// backprop.
     pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        let pre = input
-            .matmul_transpose_b(&self.weight)
-            .add_row_broadcast(&self.bias);
+        let pre = input.matmul_transpose_b_bias(&self.weight, &self.bias);
         let out = self.activation.forward(&pre);
         (
             out,
@@ -87,10 +85,9 @@ impl Dense {
 
     /// Forward pass without caching — inference only.
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let pre = input
-            .matmul_transpose_b(&self.weight)
-            .add_row_broadcast(&self.bias);
-        self.activation.forward(&pre)
+        let mut out = input.matmul_transpose_b_bias(&self.weight, &self.bias);
+        self.activation.forward_inplace(&mut out);
+        out
     }
 
     /// Backward pass. `grad_output` is ∂L/∂y (`batch × out_dim`); returns

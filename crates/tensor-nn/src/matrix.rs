@@ -1,10 +1,23 @@
 //! Dense row-major matrix with the handful of operations neural-network
 //! training needs: GEMM (plain, A·Bᵀ and Aᵀ·B variants), element-wise maps,
-//! broadcasting row additions and reductions.
+//! a fused bias epilogue and reductions.
 //!
 //! All storage is `f64`: the networks used by the tuner are tiny (tens of
 //! thousands of parameters), so numeric robustness is worth far more than
 //! the memory halving `f32` would give.
+//!
+//! # Summation order
+//!
+//! [`Matrix::matmul_transpose_b`] (the forward-pass product) guarantees,
+//! for every output `out[i][j]`, one accumulator that starts at `0.0` and
+//! adds `a[i][k] * b[j][k]` for `k` ascending, each product rounded before
+//! the add (no fused multiply-add). The kernel is register-tiled: 4 × 4
+//! output tiles while 4 or more rows remain, then 2 × 4 and 1 × 4, with
+//! `R × 1` tiles for the columns left over. Tiling only interleaves
+//! independent outputs, so the result is bit-identical to the plain dot
+//! product, and a row's output does not depend on the other rows of the
+//! batch: scoring `n` rows at once equals `n` one-row calls bit for bit.
+//! [`Matrix::matmul_transpose_b_bias`] adds the bias after that full sum.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -150,7 +163,7 @@ impl Matrix {
 
     /// `self · otherᵀ`. Both operands are walked row-contiguously, so this is
     /// the cheapest product shape; layers store weights so forward passes use
-    /// it.
+    /// it. See the module docs for the summation order it guarantees.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -158,16 +171,27 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
+        let mut i = 0;
+        while i < self.rows {
+            i += match self.rows - i {
+                4.. => gemm_nt_tile::<4>(self, other, i, &mut out),
+                2 | 3 => gemm_nt_tile::<2>(self, other, i, &mut out),
+                _ => gemm_nt_tile::<1>(self, other, i, &mut out),
+            };
+        }
+        out
+    }
+
+    /// `self · otherᵀ + bias` with `bias` (a `1 × other.rows` row vector)
+    /// added to every row after the full sum: the dense-layer affine map
+    /// with no intermediate matrix.
+    pub fn matmul_transpose_b_bias(&self, other: &Matrix, bias: &Matrix) -> Matrix {
+        assert_eq!(bias.rows, 1, "bias must be a row vector");
+        assert_eq!(bias.cols, other.rows, "bias width mismatch");
+        let mut out = self.matmul_transpose_b(other);
+        for r in 0..out.rows {
+            for (o, &b) in out.row_mut(r).iter_mut().zip(&bias.data) {
+                *o += b;
             }
         }
         out
@@ -269,19 +293,6 @@ impl Matrix {
         self.map(|v| v * s)
     }
 
-    /// Add `row` (a `1 × cols` matrix) to every row — bias broadcast.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1, "broadcast operand must be a row vector");
-        assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&row.data) {
-                *o += b;
-            }
-        }
-        out
-    }
-
     /// Sum over rows into a `1 × cols` matrix — bias gradient reduction.
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
@@ -349,6 +360,47 @@ impl Matrix {
     }
 }
 
+/// Rows `i..i + R` of `a · bᵀ` into `out`: `R × 4` output tiles with `4R`
+/// independent accumulators, then `R × 1` tiles for the last `b.rows % 4`
+/// columns. Returns `R`.
+fn gemm_nt_tile<const R: usize>(a: &Matrix, b: &Matrix, i: usize, out: &mut Matrix) -> usize {
+    let k = a.cols;
+    let rows: [&[f64]; R] = std::array::from_fn(|r| a.row(i + r));
+    let m = b.rows;
+    let dst = &mut out.data[i * m..(i + R) * m];
+    let mut j = 0;
+    while j + 4 <= m {
+        let cols: [&[f64]; 4] = std::array::from_fn(|c| &b.row(j + c)[..k]);
+        let mut acc = [[0.0f64; 4]; R];
+        for p in 0..k {
+            let w = [cols[0][p], cols[1][p], cols[2][p], cols[3][p]];
+            for (acc_r, row) in acc.iter_mut().zip(&rows) {
+                let x = row[p];
+                for (o, &wc) in acc_r.iter_mut().zip(&w) {
+                    *o += x * wc;
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            dst[r * m + j..r * m + j + 4].copy_from_slice(acc_r);
+        }
+        j += 4;
+    }
+    for jj in j..m {
+        let col = &b.row(jj)[..k];
+        let mut acc = [0.0f64; R];
+        for p in 0..k {
+            for (o, row) in acc.iter_mut().zip(&rows) {
+                *o += row[p] * col[p];
+            }
+        }
+        for (r, &v) in acc.iter().enumerate() {
+            dst[r * m + jj] = v;
+        }
+    }
+    R
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,7 +437,8 @@ mod tests {
     fn broadcast_and_sum_rows_are_adjoint_shapes() {
         let x = Matrix::from_fn(3, 2, |r, c| (r + c) as f64);
         let b = Matrix::row_vector(&[10.0, 20.0]);
-        let y = x.add_row_broadcast(&b);
+        let identity = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
+        let y = x.matmul_transpose_b_bias(&identity, &b);
         assert_eq!(y.get(2, 1), 3.0 + 20.0);
         let s = y.sum_rows();
         assert_eq!(s.rows(), 1);

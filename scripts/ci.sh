@@ -8,6 +8,20 @@ cargo build --release
 cargo test -q
 cargo fmt --check
 
+# Bit-identity property tests of the batched Twin-Q path, run by name in
+# release so no filter can skip them: the register-tiled GEMM against the
+# plain dot product, and the speculative Twin-Q search against the
+# sequential Algorithm-1 loop (result bits and RNG post-state).
+for spec in tensor-nn:proptest_gemm deepcat:proptest_twinq; do
+    pkg=${spec%%:*}
+    name=${spec#*:}
+    cargo test --release -q -p "$pkg" --test "$name"
+    file=crates/$pkg/tests/$name.rs
+    props=$(cargo test --release -q -p "$pkg" --test "$name" -- --list 2>/dev/null | grep -c ': test$')
+    cases=$(sed -n 's/^const CASES: u32 = \([0-9]*\);$/\1/p' "$file")
+    echo "$name: OK ($props tests, $cases cases per property)"
+done
+
 # The end-to-end benchmark (perfbench/, a package of its own) builds
 # against the library crates by path: build and unit-test it here, so a
 # library API change that breaks it fails this gate, not the benchmark
@@ -183,6 +197,32 @@ cmp "$smoke_dir/serve-extract/extract-2-steps.jsonl" \
     exit 1
 }
 echo "service smoke: OK (8 sessions under panic3: contained, recovered, extractable)"
+
+# Accepting-model smoke: with the CLI-default 1500-iteration model the
+# Twin-Q loop clears Q_th mid-block (session 4, step 1, at iteration 5),
+# so the speculative search rewinds its RNG. The report must show
+# discarded candidates (the rewind ran), and --extract must replay that
+# session solo byte-identical to its multiplexed stream.
+./target/release/deepcat-tune train --iters 1500 --seed 2022 \
+    --model "$smoke_dir/accept-model.bin" >/dev/null
+./target/release/deepcat-tune serve --sessions 8 --steps 4 --deterministic \
+    --seed 2022 --model "$smoke_dir/accept-model.bin" \
+    --log "$smoke_dir/accept.jsonl" --out-dir "$smoke_dir/accept" >/dev/null
+./target/release/deepcat-tune serve --sessions 8 --steps 4 --deterministic \
+    --seed 2022 --extract 4 --model "$smoke_dir/accept-model.bin" \
+    --out-dir "$smoke_dir/accept-extract" >/dev/null
+twinq_line=$(./target/release/deepcat-tune report --log "$smoke_dir/accept.jsonl" | grep '^twin-q:' || true)
+discarded=$(echo "$twinq_line" | sed -n 's/.* \([0-9]*\) discarded .*/\1/p')
+[ "${discarded:-0}" -gt 0 ] || {
+    echo "accepting smoke failed: no Twin-Q accept inside a block ($twinq_line)" >&2
+    exit 1
+}
+cmp "$smoke_dir/accept-extract/extract-4-steps.jsonl" \
+    "$smoke_dir/accept/session-4-steps.jsonl" || {
+    echo "accepting smoke failed: solo replay diverged from multiplexed run" >&2
+    exit 1
+}
+echo "accepting smoke: OK ($twinq_line; session 4 extract byte-identical)"
 
 # Guardrail smoke: a guarded chaos run under the blackout plan must let
 # zero infeasible configurations reach the simulator (no
